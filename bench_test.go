@@ -191,18 +191,6 @@ func BenchmarkSimKernel(b *testing.B) {
 	env.RunAll()
 }
 
-// BenchmarkSimProcessSwitch measures coroutine context switches.
-func BenchmarkSimProcessSwitch(b *testing.B) {
-	env := sim.NewEnv()
-	env.Go("switcher", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	env.RunAll()
-}
-
 // BenchmarkLockTable measures uncontended lock/release pairs.
 func BenchmarkLockTable(b *testing.B) {
 	t := lockmgr.NewTable()
@@ -356,12 +344,14 @@ func scaleConfig(clients int) config.Config {
 // catches the steady-state plateau without perturbing the run.
 func benchScale(b *testing.B, clients int) {
 	for i := 0; i < b.N; i++ {
+		// The GC baseline precedes construction, so gc-cycles and
+		// gc-pause-ms include building the population's heap.
+		var ms, ms0 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
 		c, err := rtdbs.NewClientServer(scaleConfig(clients))
 		if err != nil {
 			b.Fatal(err)
 		}
-		var ms, ms0 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
 		var heapHW uint64
 		var sinceSample int
 		c.Env().SetStepHook(func() {

@@ -976,7 +976,7 @@ func (m *txnMachine) reportResult(committed bool) {
 	w.sig.Broadcast()
 }
 
-// wftOp mirrors Proc.WaitForTimeout for machines: wait until a
+// wftOp is a wait-for-with-timeout: wait on a signal until a
 // caller-evaluated condition holds or an absolute deadline passes. The
 // caller re-evaluates the condition at every resume and passes it in.
 type wftOp struct {

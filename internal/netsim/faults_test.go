@@ -8,16 +8,18 @@ import (
 )
 
 // drain runs the simulation to completion and returns every message
-// delivered into mb, in delivery order.
+// delivered into mb, in delivery order (each carries its DeliveredAt
+// stamp).
 func drain(env *sim.Env, mb *sim.Mailbox[Message]) []Message {
-	var got []Message
-	env.Go("recv", func(p *sim.Proc) {
-		for {
-			got = append(got, mb.Get(p))
-		}
-	})
 	env.RunAll()
-	return got
+	var got []Message
+	for {
+		m, ok := mb.TryGet()
+		if !ok {
+			return got
+		}
+		got = append(got, m)
+	}
 }
 
 func TestFaultsZeroConfigIsNoop(t *testing.T) {

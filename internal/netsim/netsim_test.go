@@ -23,9 +23,7 @@ func TestDeliveryTimeAndStamp(t *testing.T) {
 	n := New(env, Config{Latency: time.Millisecond, BandwidthBps: 8e6}) // 1 byte = 1 µs
 	mb := sim.NewMailbox[Message](env)
 	n.Send(Message{Kind: KindObjectShip, From: 0, To: 1, Size: 1000}, mb)
-	var got Message
-	env.Go("recv", func(p *sim.Proc) { got = mb.Get(p) })
-	env.RunAll()
+	got := drain(env, mb)[0]
 	want := time.Millisecond + 1000*time.Microsecond
 	if env.Now() != want {
 		t.Fatalf("delivered at %v, want %v", env.Now(), want)
@@ -43,14 +41,10 @@ func TestSharedBusSerializes(t *testing.T) {
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	var times []time.Duration
-	env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			m := mb.Get(p)
-			times = append(times, m.DeliveredAt)
-		}
-	})
-	env.RunAll()
-	if times[0] != time.Millisecond || times[1] != 2*time.Millisecond {
+	for _, m := range drain(env, mb) {
+		times = append(times, m.DeliveredAt)
+	}
+	if len(times) != 2 || times[0] != time.Millisecond || times[1] != 2*time.Millisecond {
 		t.Fatalf("delivery times = %v", times)
 	}
 }
@@ -62,8 +56,9 @@ func TestBusIdleGapDoesNotAccumulate(t *testing.T) {
 	env.Schedule(time.Second, func() {
 		n.Send(Message{Kind: KindRecall, Size: 1000}, mb)
 	})
-	env.Go("recv", func(p *sim.Proc) { mb.Get(p) })
-	env.RunAll()
+	if got := drain(env, mb); len(got) != 1 {
+		t.Fatalf("delivered %d messages, want 1", len(got))
+	}
 	if env.Now() != time.Second+time.Millisecond {
 		t.Fatalf("late send delivered at %v", env.Now())
 	}
@@ -114,8 +109,7 @@ func TestUtilization(t *testing.T) {
 	n := New(env, Config{Latency: 0, BandwidthBps: 8e6})
 	mb := sim.NewMailbox[Message](env)
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb) // 1 ms busy
-	env.Go("recv", func(p *sim.Proc) { mb.Get(p) })
-	env.RunAll()
+	drain(env, mb)
 	env.Run(10 * time.Millisecond)
 	if u := n.Utilization(); u < 0.09 || u > 0.11 {
 		t.Fatalf("utilization = %v, want ~0.1", u)
@@ -132,14 +126,11 @@ func TestSwitchedTopologyNoBusQueueing(t *testing.T) {
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	var times []time.Duration
-	env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			times = append(times, mb.Get(p).DeliveredAt)
-		}
-	})
-	env.RunAll()
+	for _, m := range drain(env, mb) {
+		times = append(times, m.DeliveredAt)
+	}
 	want := 2 * time.Millisecond // 1ms tx + 1ms latency
-	if times[0] != want {
+	if len(times) != 2 || times[0] != want {
 		t.Fatalf("first delivery = %v, want %v", times[0], want)
 	}
 	if times[1] != want+time.Nanosecond {
@@ -156,13 +147,10 @@ func TestSwitchedPreservesSendOrder(t *testing.T) {
 	n.Send(Message{Kind: KindObjectShip, Size: 4000}, mb)
 	n.Send(Message{Kind: KindLockReply, Size: 10}, mb)
 	var kinds []Kind
-	env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			kinds = append(kinds, mb.Get(p).Kind)
-		}
-	})
-	env.RunAll()
-	if kinds[0] != KindObjectShip || kinds[1] != KindLockReply {
+	for _, m := range drain(env, mb) {
+		kinds = append(kinds, m.Kind)
+	}
+	if len(kinds) != 2 || kinds[0] != KindObjectShip || kinds[1] != KindLockReply {
 		t.Fatalf("delivery order = %v", kinds)
 	}
 }

@@ -2,14 +2,15 @@ package pagefile
 
 import "siteselect/internal/sim"
 
-// State-machine counterparts of the blocking pool and disk operations.
-// Each op mirrors its blocking twin line by line — same counter order,
-// same park points, same retry loops — so a Machine caller produces
-// exactly the event sequence a Proc caller would. The blocking methods
-// stay for process-based models; both kinds share the pool.
+// The pool's and disk's operations that can wait are resumable ops: a
+// machine embeds one, arms it with Init, and calls Step from every
+// Resume until it reports done. A step that returns not-done has parked
+// the task on exactly one primitive (the disk arm, a timer, a frame's
+// loaded signal, or the pool's free signal).
 
-// ioOp is a resumable disk access (Disk.Read / Disk.Write for tasks):
-// acquire the arm, hold it for the access time, release, count, copy.
+// ioOp is a resumable disk access: acquire the arm, hold it for the
+// read or write time, release, count, copy. Pages never written read as
+// zeroes.
 type ioOp struct {
 	d     *Disk
 	id    PageID
@@ -69,8 +70,7 @@ func (o *ioOp) step(t *sim.Task) bool {
 	}
 }
 
-// allocAction is what allocateTask decided; it mirrors the blocking
-// allocate's three outcomes.
+// allocAction is what allocate decided.
 type allocAction uint8
 
 const (
@@ -84,9 +84,10 @@ const (
 	allocWaitFree
 )
 
-// allocateTask is allocate for machine callers; identical decisions and
-// counter order, with the blocking write-back handed to io.
-func (bp *BufferPool) allocateTask(t *sim.Task, io *ioOp, id PageID) (*Frame, allocAction) {
+// allocate claims a frame for id: a fresh slab frame while the pool is
+// filling, else the LRU unpinned frame, whose dirty contents are written
+// back through io first. The claimed frame is pinned and loading.
+func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocAction) {
 	if bp.allocated < bp.cap {
 		f := bp.newFrame(id)
 		bp.frames[id] = f
@@ -100,6 +101,12 @@ func (bp *BufferPool) allocateTask(t *sim.Task, io *ioOp, id PageID) (*Frame, al
 	vid := vf.id
 	bp.lruRemove(vf)
 	bp.Evictions++
+	// Re-key the victim frame in place: it is unpinned, so it is not
+	// loading and its loaded signal has no waiters — the frame, its data
+	// buffer, and its signal are all safe to reuse. Marking it loading
+	// first makes other getters of id wait rather than double-read; the
+	// write-back and read that follow park, so the map must already
+	// reflect the claim.
 	delete(bp.frames, vid)
 	wasDirty := vf.dirty
 	vf.id = id
@@ -115,9 +122,11 @@ func (bp *BufferPool) allocateTask(t *sim.Task, io *ioOp, id PageID) (*Frame, al
 	return vf, allocReady
 }
 
-// GetOp is the state-machine counterpart of BufferPool.Get: a resumable
-// pin-with-read. Init it, then call Step from every Resume until it
-// reports done; the pinned frame is then available from Frame.
+// GetOp pins a page, reading it from disk on a miss. Concurrent getters
+// of a loading page wait for the single read, and a getter waits for an
+// Unpin when every frame is pinned. Init it, then call Step from every
+// Resume until it reports done; the pinned frame is then available from
+// Frame.
 type GetOp struct {
 	bp *BufferPool
 	id PageID
@@ -161,7 +170,7 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 				g.f = f
 				return true, nil
 			}
-			f, act := bp.allocateTask(t, &g.io, g.id)
+			f, act := bp.allocate(t, &g.io, g.id)
 			if act == allocWaitFree {
 				return false, nil // lost a race while parked; retry lookup
 			}
@@ -191,9 +200,11 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 	}
 }
 
-// PutOp is the state-machine counterpart of BufferPool.Put: install
-// data as page id without reading the old contents, evicting (and
-// possibly writing back) a victim when the pool is full.
+// PutOp installs data as the current contents of page id without
+// reading the old contents from disk (used when a client returns a
+// modified object: the server has the authoritative new copy in hand).
+// The page becomes resident and dirty, evicting (and possibly writing
+// back) a victim when the pool is full.
 type PutOp struct {
 	bp   *BufferPool
 	id   PageID
@@ -237,7 +248,7 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 				o.data = nil
 				return true, nil
 			}
-			f, act := bp.allocateTask(t, &o.io, o.id)
+			f, act := bp.allocate(t, &o.io, o.id)
 			if act == allocWaitFree {
 				return false, nil
 			}

@@ -8,48 +8,142 @@ import (
 	"siteselect/internal/sim"
 )
 
-func run(t *testing.T, fn func(p *sim.Proc)) *sim.Env {
-	t.Helper()
-	env := sim.NewEnv()
-	done := false
-	env.Go("test", func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
-	env.RunAll()
-	if !done {
-		t.Fatal("test process did not finish (deadlock?)")
+// script is a test machine that runs its steps in order. A step reports
+// done=false when it parked its task; it runs again on the next Resume.
+// After the last step the machine detaches.
+type script struct {
+	task  sim.Task
+	steps []func(*sim.Task) bool
+	pc    int
+}
+
+func (s *script) Resume() {
+	for s.pc < len(s.steps) {
+		if !s.steps[s.pc](&s.task) {
+			return
+		}
+		s.pc++
 	}
-	return env
+	s.task.Detach()
+}
+
+func spawn(env *sim.Env, steps ...func(*sim.Task) bool) *script {
+	s := &script{steps: steps}
+	env.Spawn(&s.task, s)
+	return s
+}
+
+// runAll runs env dry and fails the test if a script never finished.
+func runAll(t *testing.T, env *sim.Env, scripts ...*script) {
+	t.Helper()
+	env.RunAll()
+	for i, s := range scripts {
+		if s.pc < len(s.steps) {
+			t.Fatalf("script %d stuck at step %d (deadlock?)", i, s.pc)
+		}
+	}
+}
+
+func sleep(d time.Duration) func(*sim.Task) bool {
+	armed := false
+	return func(t *sim.Task) bool {
+		if armed {
+			armed = false
+			return true
+		}
+		armed = true
+		t.Sleep(d)
+		return false
+	}
+}
+
+func do(fn func(t *sim.Task)) func(*sim.Task) bool {
+	return func(t *sim.Task) bool { fn(t); return true }
+}
+
+// io reads or writes page id of d through an ioOp.
+func io(d *Disk, write bool, id PageID, buf []byte) func(*sim.Task) bool {
+	var op ioOp
+	started := false
+	return func(t *sim.Task) bool {
+		if !started {
+			started = true
+			op.start(d, write, id, buf)
+		}
+		return op.step(t)
+	}
+}
+
+// get pins page id through a GetOp into *f, recording any error in
+// *err.
+func get(bp *BufferPool, id PageID, f **Frame, err *error) func(*sim.Task) bool {
+	var op GetOp
+	started := false
+	return func(t *sim.Task) bool {
+		if !started {
+			started = true
+			op.Init(bp, id)
+		}
+		done, e := op.Step(t)
+		if done {
+			*f, *err = op.Frame(), e
+		}
+		return done
+	}
+}
+
+// put installs data as page id through a PutOp, recording any error in
+// *err.
+func put(bp *BufferPool, id PageID, data []byte, err *error) func(*sim.Task) bool {
+	var op PutOp
+	started := false
+	return func(t *sim.Task) bool {
+		if !started {
+			started = true
+			op.Init(bp, id, data)
+		}
+		done, e := op.Step(t)
+		if done {
+			*err = e
+		}
+		return done
+	}
+}
+
+// touch pins and unpins page id, marking it dirty with value v in its
+// first byte when v is non-zero.
+func touch(t *testing.T, bp *BufferPool, id PageID, v byte) []func(*sim.Task) bool {
+	var f *Frame
+	var err error
+	return []func(*sim.Task) bool{
+		get(bp, id, &f, &err),
+		do(func(*sim.Task) {
+			if err != nil {
+				t.Errorf("get %d: %v", id, err)
+				return
+			}
+			if v != 0 {
+				f.Data[0] = v
+			}
+			bp.Unpin(f, v != 0)
+		}),
+	}
 }
 
 func TestDiskReadWriteRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
-	ok := false
-	env.Go("t", func(p *sim.Proc) {
-		out := make([]byte, PageSize)
-		in := make([]byte, PageSize)
-		for i := range in {
-			in[i] = byte(i)
+	out := make([]byte, PageSize)
+	in := make([]byte, PageSize)
+	for i := range in {
+		in[i] = byte(i)
+	}
+	s := spawn(env, io(d, true, 3, in), io(d, false, 3, out))
+	runAll(t, env, s)
+	for i := range in {
+		if out[i] != in[i] {
+			t.Fatalf("byte %d = %d, want %d", i, out[i], in[i])
 		}
-		if err := d.Write(p, 3, in); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := d.Read(p, 3, out); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		for i := range in {
-			if out[i] != in[i] {
-				t.Errorf("byte %d = %d, want %d", i, out[i], in[i])
-				break
-			}
-		}
-		ok = true
-	})
-	env.RunAll()
-	if !ok {
-		t.Fatal("did not complete")
 	}
 	if d.Reads != 1 || d.Writes != 1 {
 		t.Fatalf("reads=%d writes=%d", d.Reads, d.Writes)
@@ -60,49 +154,48 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestDiskUnwrittenPageReadsZero(t *testing.T) {
-	run(t, func(p *sim.Proc) {
-		d := NewDisk(p.Env(), 4, DefaultDiskConfig())
-		buf := make([]byte, PageSize)
-		buf[0] = 0xFF
-		if err := d.Read(p, 0, buf); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		if buf[0] != 0 {
-			t.Error("unwritten page not zeroed")
-		}
-	})
+	env := sim.NewEnv()
+	d := NewDisk(env, 4, DefaultDiskConfig())
+	buf := make([]byte, PageSize)
+	buf[0] = 0xFF
+	runAll(t, env, spawn(env, io(d, false, 0, buf)))
+	if buf[0] != 0 {
+		t.Error("unwritten page not zeroed")
+	}
 }
 
 func TestDiskOutOfRange(t *testing.T) {
-	run(t, func(p *sim.Proc) {
-		d := NewDisk(p.Env(), 4, DefaultDiskConfig())
-		buf := make([]byte, PageSize)
-		if err := d.Read(p, 4, buf); err == nil {
-			t.Error("read past end did not fail")
-		}
-		if err := d.Write(p, -1, buf); err == nil {
-			t.Error("negative write did not fail")
-		}
-	})
+	env := sim.NewEnv()
+	d := NewDisk(env, 4, DefaultDiskConfig())
+	bp := NewBufferPool(env, d, 2)
+	var f *Frame
+	var getErr, putErr error
+	s := spawn(env,
+		get(bp, 4, &f, &getErr),
+		put(bp, -1, make([]byte, PageSize), &putErr),
+	)
+	runAll(t, env, s)
+	if getErr == nil {
+		t.Error("read past end did not fail")
+	}
+	if putErr == nil {
+		t.Error("negative write did not fail")
+	}
+	if d.Reads != 0 || d.Writes != 0 || env.Now() != 0 {
+		t.Error("out-of-range access reached the device")
+	}
 }
 
 func TestDiskSerializesRequests(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
-	finished := 0
+	var scripts []*script
 	for i := 0; i < 3; i++ {
-		i := i
-		env.Go("r", func(p *sim.Proc) {
-			buf := make([]byte, PageSize)
-			if err := d.Read(p, PageID(i), buf); err != nil {
-				t.Errorf("read: %v", err)
-			}
-			finished++
-		})
+		scripts = append(scripts, spawn(env, io(d, false, PageID(i), make([]byte, PageSize))))
 	}
-	env.RunAll()
-	if finished != 3 {
-		t.Fatalf("finished = %d", finished)
+	runAll(t, env, scripts...)
+	if d.Reads != 3 {
+		t.Fatalf("reads = %d", d.Reads)
 	}
 	if env.Now() != 30*time.Millisecond {
 		t.Fatalf("3 serialized reads took %v, want 30ms", env.Now())
@@ -113,23 +206,14 @@ func TestBufferHitIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
 	bp := NewBufferPool(env, d, 4)
-	env.Go("t", func(p *sim.Proc) {
-		f, err := bp.Get(p, 1)
-		if err != nil {
-			t.Errorf("get: %v", err)
-		}
-		bp.Unpin(f, false)
-		before := p.Now()
-		f, err = bp.Get(p, 1)
-		if err != nil {
-			t.Errorf("get: %v", err)
-		}
-		if p.Now() != before {
-			t.Error("buffer hit took time")
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	var before time.Duration
+	steps := touch(t, bp, 1, 0)
+	steps = append(steps, do(func(t *sim.Task) { before = t.Now() }))
+	steps = append(steps, touch(t, bp, 1, 0)...)
+	runAll(t, env, spawn(env, steps...))
+	if env.Now() != before {
+		t.Error("buffer hit took time")
+	}
 	if bp.Hits != 1 || bp.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d", bp.Hits, bp.Misses)
 	}
@@ -142,23 +226,17 @@ func TestLRUEviction(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		for _, id := range []PageID{0, 1} {
-			f, _ := bp.Get(p, id)
-			bp.Unpin(f, false)
-		}
-		// Touch 0 so 1 becomes LRU.
-		f, _ := bp.Get(p, 0)
-		bp.Unpin(f, false)
-		// Loading 2 must evict 1, not 0.
-		f, _ = bp.Get(p, 2)
-		bp.Unpin(f, false)
-		if !bp.Contains(0) || bp.Contains(1) || !bp.Contains(2) {
-			t.Errorf("residency after eviction: 0=%v 1=%v 2=%v",
-				bp.Contains(0), bp.Contains(1), bp.Contains(2))
-		}
-	})
-	env.RunAll()
+	var steps []func(*sim.Task) bool
+	// Load 0 and 1, then touch 0 so 1 becomes LRU: loading 2 must evict
+	// 1, not 0.
+	for _, id := range []PageID{0, 1, 0, 2} {
+		steps = append(steps, touch(t, bp, id, 0)...)
+	}
+	runAll(t, env, spawn(env, steps...))
+	if !bp.Contains(0) || bp.Contains(1) || !bp.Contains(2) {
+		t.Errorf("residency after eviction: 0=%v 1=%v 2=%v",
+			bp.Contains(0), bp.Contains(1), bp.Contains(2))
+	}
 	if bp.Evictions != 1 {
 		t.Fatalf("evictions = %d", bp.Evictions)
 	}
@@ -168,21 +246,15 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 1)
-	env.Go("t", func(p *sim.Proc) {
-		f, _ := bp.Get(p, 5)
-		f.Data[0] = 0xAB
-		bp.Unpin(f, true)
-		// Evict page 5 by loading another page.
-		f, _ = bp.Get(p, 6)
-		bp.Unpin(f, false)
-		// Re-read 5 from disk: modification must have survived.
-		f, _ = bp.Get(p, 5)
-		if f.Data[0] != 0xAB {
-			t.Error("dirty page lost on eviction")
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	var f *Frame
+	var err error
+	steps := touch(t, bp, 5, 0xAB)
+	steps = append(steps, touch(t, bp, 6, 0)...) // evicts page 5
+	steps = append(steps, get(bp, 5, &f, &err))  // re-read from disk
+	runAll(t, env, spawn(env, steps...))
+	if err != nil || f.Data[0] != 0xAB {
+		t.Fatalf("dirty page lost on eviction (err %v)", err)
+	}
 	if bp.DirtyWrites != 1 {
 		t.Fatalf("dirty writes = %d", bp.DirtyWrites)
 	}
@@ -195,24 +267,23 @@ func TestAllPinnedBlocksUntilUnpin(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 1)
-	var f0 *Frame
+	var f0, f1 *Frame
+	var err0, err1 error
 	gotAt := time.Duration(-1)
-	env.Go("holder", func(p *sim.Proc) {
-		f0, _ = bp.Get(p, 0)
-		p.Sleep(time.Second)
-		bp.Unpin(f0, false)
-	})
-	env.Go("waiter", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		f, err := bp.Get(p, 1)
-		if err != nil {
-			t.Errorf("get: %v", err)
-			return
-		}
-		gotAt = p.Now()
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	holder := spawn(env,
+		get(bp, 0, &f0, &err0),
+		sleep(time.Second),
+		do(func(*sim.Task) { bp.Unpin(f0, false) }),
+	)
+	waiter := spawn(env,
+		sleep(time.Millisecond),
+		get(bp, 1, &f1, &err1),
+		do(func(t *sim.Task) { gotAt = t.Now(); bp.Unpin(f1, false) }),
+	)
+	runAll(t, env, holder, waiter)
+	if err0 != nil || err1 != nil {
+		t.Fatalf("get: %v, %v", err0, err1)
+	}
 	if gotAt < time.Second {
 		t.Fatalf("waiter got frame at %v, before holder unpinned", gotAt)
 	}
@@ -222,64 +293,16 @@ func TestConcurrentGetSingleRead(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 4)
-	done := 0
+	var scripts []*script
 	for i := 0; i < 5; i++ {
-		env.Go("g", func(p *sim.Proc) {
-			f, err := bp.Get(p, 7)
-			if err != nil {
-				t.Errorf("get: %v", err)
-				return
-			}
-			bp.Unpin(f, false)
-			done++
-		})
+		scripts = append(scripts, spawn(env, touch(t, bp, 7, 0)...))
 	}
-	env.RunAll()
-	if done != 5 {
-		t.Fatalf("done = %d", done)
-	}
+	runAll(t, env, scripts...)
 	if d.Reads != 1 {
 		t.Fatalf("disk reads = %d, want 1 (shared load)", d.Reads)
 	}
 	if bp.Misses != 1 || bp.Hits != 4 {
 		t.Fatalf("hits=%d misses=%d", bp.Hits, bp.Misses)
-	}
-}
-
-func TestFlushAll(t *testing.T) {
-	env := sim.NewEnv()
-	d := NewDisk(env, 10, DefaultDiskConfig())
-	bp := NewBufferPool(env, d, 4)
-	env.Go("t", func(p *sim.Proc) {
-		for _, id := range []PageID{1, 2, 3} {
-			f, _ := bp.Get(p, id)
-			f.Data[0] = byte(id)
-			bp.Unpin(f, true)
-		}
-		if err := bp.FlushAll(p); err != nil {
-			t.Errorf("flush: %v", err)
-		}
-	})
-	env.RunAll()
-	if d.Writes != 3 {
-		t.Fatalf("disk writes = %d, want 3", d.Writes)
-	}
-}
-
-func TestFlushAllIdempotent(t *testing.T) {
-	env := sim.NewEnv()
-	d := NewDisk(env, 10, DefaultDiskConfig())
-	bp := NewBufferPool(env, d, 4)
-	env.Go("t", func(p *sim.Proc) {
-		f, _ := bp.Get(p, 1)
-		f.Data[0] = 1
-		bp.Unpin(f, true)
-		_ = bp.FlushAll(p)
-		_ = bp.FlushAll(p)
-	})
-	env.RunAll()
-	if d.Writes != 1 {
-		t.Fatalf("disk writes = %d, want 1", d.Writes)
 	}
 }
 
@@ -295,43 +318,40 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 	bp.Unpin(&Frame{}, false)
 }
 
-// Property: after any sequence of writes through the pool followed by a
-// flush, reading each page directly from disk returns the last value
-// written through the pool (write-back preserves data).
+// Property: after any sequence of writes through a pool smaller than the
+// page set, reading each page back through the pool returns the last
+// value written (eviction write-back preserves data).
 func TestWriteBackConsistencyProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		env := sim.NewEnv()
 		d := NewDisk(env, 8, DiskConfig{ReadTime: time.Millisecond, WriteTime: time.Millisecond})
 		bp := NewBufferPool(env, d, 3)
 		want := map[PageID]byte{}
+		var steps []func(*sim.Task) bool
+		for i, op := range ops {
+			id, v := PageID(op%8), byte(i%255+1)
+			want[id] = v
+			steps = append(steps, touch(t, bp, id, v)...)
+		}
 		pass := true
-		env.Go("t", func(p *sim.Proc) {
-			for i, op := range ops {
-				id := PageID(op % 8)
-				fr, err := bp.Get(p, id)
-				if err != nil {
-					pass = false
-					return
-				}
-				v := byte(i + 1)
-				fr.Data[0] = v
-				want[id] = v
-				bp.Unpin(fr, true)
+		for id := PageID(0); id < 8; id++ {
+			v, ok := want[id]
+			if !ok {
+				continue
 			}
-			if err := bp.FlushAll(p); err != nil {
-				pass = false
-				return
-			}
-			buf := make([]byte, PageSize)
-			for id, v := range want {
-				if err := d.Read(p, id, buf); err != nil || buf[0] != v {
-					pass = false
-					return
-				}
-			}
-		})
+			var fr *Frame
+			var err error
+			steps = append(steps,
+				get(bp, id, &fr, &err),
+				do(func(*sim.Task) {
+					pass = pass && err == nil && fr.Data[0] == v
+					bp.Unpin(fr, false)
+				}),
+			)
+		}
+		s := spawn(env, steps...)
 		env.RunAll()
-		return pass
+		return pass && s.pc == len(s.steps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -342,82 +362,81 @@ func TestPutInstallsWithoutRead(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		data := make([]byte, PageSize)
-		data[0] = 0x42
-		if err := bp.Put(p, 3, data); err != nil {
-			t.Errorf("put: %v", err)
-		}
-		// No disk read happened; the page is resident and dirty.
-		if d.Reads != 0 {
-			t.Errorf("Put read from disk: %d reads", d.Reads)
-		}
-		f, err := bp.Get(p, 3)
-		if err != nil {
-			t.Errorf("get: %v", err)
-			return
-		}
-		if f.Data[0] != 0x42 {
-			t.Error("Put data lost")
-		}
-		if !f.Dirty() {
-			t.Error("Put page not dirty")
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	data := make([]byte, PageSize)
+	data[0] = 0x42
+	var f *Frame
+	var putErr, getErr error
+	readsAfterPut := int64(-1)
+	s := spawn(env,
+		put(bp, 3, data, &putErr),
+		do(func(*sim.Task) { readsAfterPut = d.Reads }),
+		get(bp, 3, &f, &getErr),
+	)
+	runAll(t, env, s)
+	if putErr != nil || getErr != nil {
+		t.Fatalf("put: %v, get: %v", putErr, getErr)
+	}
+	// No disk read happened; the page is resident and dirty.
+	if readsAfterPut != 0 {
+		t.Errorf("Put read from disk: %d reads", readsAfterPut)
+	}
+	if f.Data[0] != 0x42 {
+		t.Error("Put data lost")
+	}
+	if !f.Dirty() {
+		t.Error("Put page not dirty")
+	}
 }
 
 func TestPutOverwritesResidentPage(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		f, _ := bp.Get(p, 1)
-		f.Data[0] = 1
-		bp.Unpin(f, true)
-		data := make([]byte, PageSize)
-		data[0] = 9
-		if err := bp.Put(p, 1, data); err != nil {
-			t.Errorf("put: %v", err)
-		}
-		f, _ = bp.Get(p, 1)
-		if f.Data[0] != 9 {
-			t.Errorf("resident overwrite lost: %d", f.Data[0])
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	data := make([]byte, PageSize)
+	data[0] = 9
+	var f *Frame
+	var putErr, getErr error
+	steps := touch(t, bp, 1, 1)
+	steps = append(steps, put(bp, 1, data, &putErr), get(bp, 1, &f, &getErr))
+	runAll(t, env, spawn(env, steps...))
+	if putErr != nil || getErr != nil {
+		t.Fatalf("put: %v, get: %v", putErr, getErr)
+	}
+	if f.Data[0] != 9 {
+		t.Errorf("resident overwrite lost: %d", f.Data[0])
+	}
 }
 
 func TestPutRejectsBadPage(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		if err := bp.Put(p, 99, make([]byte, PageSize)); err == nil {
-			t.Error("out-of-range Put accepted")
-		}
-	})
-	env.RunAll()
+	var err error
+	runAll(t, env, spawn(env, put(bp, 99, make([]byte, PageSize), &err)))
+	if err == nil {
+		t.Error("out-of-range Put accepted")
+	}
 }
 
 func TestDiskResourceShared(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
 	var t2 time.Duration
-	env.Go("a", func(p *sim.Proc) {
-		buf := make([]byte, PageSize)
-		_ = d.Read(p, 0, buf)
-	})
-	env.Go("b", func(p *sim.Proc) {
-		// Co-located work on the same spindle waits behind the read.
-		p.Acquire(d.Resource(), 0)
-		p.Sleep(5 * time.Millisecond)
-		d.Resource().Release()
-		t2 = p.Now()
-	})
-	env.RunAll()
+	a := spawn(env, io(d, false, 0, make([]byte, PageSize)))
+	// Co-located work on the same spindle waits behind the read.
+	parked := false
+	b := spawn(env,
+		func(t *sim.Task) bool {
+			if parked {
+				return true // resumed holding the arm
+			}
+			parked = !t.Acquire(d.Resource(), 0)
+			return !parked
+		},
+		sleep(5*time.Millisecond),
+		do(func(t *sim.Task) { d.Resource().Release(); t2 = t.Now() }),
+	)
+	runAll(t, env, a, b)
 	if t2 != 15*time.Millisecond {
 		t.Fatalf("shared-arm work finished at %v, want 15ms", t2)
 	}

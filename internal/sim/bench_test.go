@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // The kernel promises an allocation-free steady state on its hot paths.
 // These tests pin that promise down with AllocsPerRun so a regression
@@ -24,26 +21,6 @@ func TestScheduleStepNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Schedule+Step allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestSleepNoAllocs(t *testing.T) {
-	env := NewEnv()
-	env.Go("sleeper", func(p *Proc) {
-		for {
-			p.Sleep(time.Millisecond)
-		}
-	})
-	defer env.Close()
-	// Warm: initial dispatch plus a few sleep cycles.
-	for i := 0; i < 8; i++ {
-		env.Step()
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		env.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("Sleep resume allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -81,27 +58,6 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkSleepPingPong measures a full process handoff: the kernel
-// resumes a sleeping process, which schedules its next sleep and yields
-// back. This is the dominant cycle of every model process.
-func BenchmarkSleepPingPong(b *testing.B) {
-	env := NewEnv()
-	env.Go("sleeper", func(p *Proc) {
-		for {
-			p.Sleep(time.Millisecond)
-		}
-	})
-	defer env.Close()
-	for i := 0; i < 8; i++ {
-		env.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.Step()
-	}
-}
-
 // BenchmarkMailboxPutGet measures the non-blocking mailbox fast path.
 func BenchmarkMailboxPutGet(b *testing.B) {
 	env := NewEnv()
@@ -111,25 +67,5 @@ func BenchmarkMailboxPutGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Put(i)
 		m.TryGet()
-	}
-}
-
-// BenchmarkSignalWaitFire measures a blocking receive: a process waits
-// on a signal, the driver fires it, the kernel dispatches the wakeup.
-func BenchmarkSignalWaitFire(b *testing.B) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	env.Go("waiter", func(p *Proc) {
-		for {
-			p.Wait(sig)
-		}
-	})
-	defer env.Close()
-	env.RunAll()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sig.Fire()
-		env.RunAll()
 	}
 }

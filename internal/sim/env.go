@@ -1,31 +1,27 @@
-// Package sim provides a deterministic, process-oriented discrete-event
-// simulation kernel.
+// Package sim provides a deterministic discrete-event simulation kernel
+// whose actors are state machines.
 //
 // Virtual time is a time.Duration measured from the start of the
-// simulation. All model concurrency is cooperative: processes are
-// goroutines, but the kernel resumes exactly one of them at a time, so
-// model code never needs locks and every run with the same inputs produces
-// the same event order. Ties in the event queue are broken by scheduling
-// sequence number, which makes the order fully reproducible.
+// simulation. All model concurrency is cooperative and single-threaded:
+// the event loop resumes exactly one actor at a time, so model code never
+// needs locks and every run with the same inputs produces the same event
+// order. Ties in the event queue are broken by scheduling sequence
+// number, which makes the order fully reproducible.
 //
-// A typical model creates an Env, spawns processes with Go, and then calls
-// Run. Processes block with Proc.Sleep, Signal waits, Resource acquisition,
-// or Mailbox receives; they never block on raw Go channels themselves.
-//
-// Model code that needs to scale to very large populations uses state
-// machines instead of processes: a Machine parks on the same primitives
-// (timer, Signal, Resource, Mailbox) through an embedded Task and is
-// resumed by a direct method call from the event loop, with no
-// goroutine or channel handoff. Processes and machines share the same
-// wait queues and event ordering, so they interoperate freely and a
-// model can migrate one endpoint at a time.
+// A typical model creates an Env, registers actors, schedules callbacks,
+// and then calls Run. An actor is a Machine: a value with a Resume
+// method and an embedded Task. It parks on a timer (Task.Sleep), a
+// Signal (Task.Wait), a Resource (Task.Acquire) or a Mailbox
+// (Mailbox.Recv) by arming exactly one wait and returning from Resume;
+// the event loop calls Resume again when the wait completes. There is
+// no goroutine, stack or channel per actor, so a parked actor costs a
+// few words and a model scales to millions of them.
 //
 // The kernel is built for a steady state that allocates nothing: event
 // records are pooled and recycled through a free list, the queue is a
-// monomorphic 4-ary heap (see heap.go), the dominant event shapes
-// (process resume, hook delivery, wait timeouts) avoid closures
-// entirely, and finished process goroutines are parked for reuse by the
-// next Go call. See DESIGN.md "Kernel internals and performance".
+// monomorphic 4-ary heap (see heap.go), and the dominant event shapes
+// (machine resume, hook delivery, wait timeouts) avoid closures
+// entirely. See DESIGN.md "Kernel internals and performance".
 package sim
 
 import (
@@ -35,8 +31,8 @@ import (
 
 // Env is a simulation environment: a virtual clock and an event queue.
 // An Env is not safe for concurrent use; it is driven from a single
-// goroutine (the one calling Run/Step) and from the processes it resumes,
-// which by construction never run at the same time.
+// goroutine (the one calling Run/Step), which also runs every callback
+// and machine Resume.
 type Env struct {
 	now    time.Duration
 	events []heapEnt  // 4-ary min-heap keyed by (at, seq)
@@ -49,17 +45,11 @@ type Env struct {
 	// trimmed index so regrown records can never alias a stale handle.
 	genFloor uint32
 
-	// procs is the live-process registry in spawn order (nil holes mark
-	// exited processes); Close walks it in order so teardown
-	// diagnostics are reproducible. freeProcs parks goroutines of
-	// finished processes for reuse by the next Go.
-	procs     []*Proc
-	live      int
-	freeProcs []*Proc
-	closed    bool
+	closed bool
 
 	// tasks is the live state-machine registry in spawn order (nil
-	// holes mark detached machines), the machine counterpart of procs.
+	// holes mark detached machines); Close walks it in order so
+	// teardown diagnostics are reproducible.
 	tasks     []*Task
 	liveTasks int
 
@@ -83,10 +73,6 @@ func (e *Env) Now() time.Duration { return e.now }
 
 // Steps returns the number of events executed so far.
 func (e *Env) Steps() int64 { return e.stepCount }
-
-// Procs returns the number of live (spawned and not yet finished)
-// processes.
-func (e *Env) Procs() int { return e.live }
 
 // Machines returns the number of live (spawned or adopted and not yet
 // detached) state machines.
@@ -278,42 +264,20 @@ func (e *Env) RunAll() {
 	}
 }
 
-// Close terminates every live process and then every live state
-// machine, each in spawn order, so teardown diagnostics are
-// reproducible. Each blocked process is resumed with a stop notice,
-// unwinds via panic(errStopped) recovered by the kernel, and its
-// goroutine exits; parked (reusable) goroutines are reaped too. Parked
-// machines are unlinked from their wait queues, pending timeout timers
-// are canceled, and machines implementing MachineCloser get their
-// MachineClose hook. Close must be called from the driving goroutine
-// (never from inside a process or machine). Closing an already closed
-// environment is a no-op; after Close the environment must not be used
-// otherwise.
+// Close detaches every live state machine in spawn order, so teardown
+// diagnostics are reproducible. Parked machines are unlinked from their
+// wait queues, pending timeout timers are canceled, and machines
+// implementing MachineCloser get their MachineClose hook. Close must be
+// called from the driving context, never from inside a Resume or
+// callback. Closing an already closed environment is a no-op; after
+// Close the environment must not be used otherwise.
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
 	// closed=true disables registry compaction, so indices are stable
-	// while we walk, and new procs cannot appear (Go panics).
-	for i := 0; i < len(e.procs); i++ {
-		p := e.procs[i]
-		if p == nil {
-			continue
-		}
-		p.stopping = true
-		p.stop = true
-		p.h <- struct{}{}
-		<-p.h
-	}
-	e.procs = e.procs[:0]
-	e.live = 0
-	for _, p := range e.freeProcs {
-		p.stop = true
-		p.h <- struct{}{}
-		<-p.h
-	}
-	e.freeProcs = e.freeProcs[:0]
+	// while we walk, and new machines cannot appear (Spawn panics).
 	for i := 0; i < len(e.tasks); i++ {
 		t := e.tasks[i]
 		if t == nil {
@@ -328,33 +292,4 @@ func (e *Env) Close() {
 	}
 	e.tasks = e.tasks[:0]
 	e.liveTasks = 0
-}
-
-// register adds p to the spawn-order registry.
-func (e *Env) register(p *Proc) {
-	p.slot = len(e.procs)
-	e.procs = append(e.procs, p)
-	e.live++
-}
-
-// unregister removes p, leaving a nil hole to preserve spawn order, and
-// compacts the registry when it is mostly holes. It runs on the
-// process's goroutine while the kernel is blocked in dispatch (or
-// Close), so access is race-free by construction.
-func (e *Env) unregister(p *Proc) {
-	e.procs[p.slot] = nil
-	p.slot = -1
-	e.live--
-	if !e.closed && len(e.procs) >= 64 && e.live*2 < len(e.procs) {
-		w := 0
-		for _, q := range e.procs {
-			if q != nil {
-				q.slot = w
-				e.procs[w] = q
-				w++
-			}
-		}
-		clear(e.procs[w:])
-		e.procs = e.procs[:w]
-	}
 }

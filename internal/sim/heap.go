@@ -23,9 +23,8 @@ type eventKind uint8
 const (
 	// evFunc runs an arbitrary callback.
 	evFunc eventKind = iota
-	// evResume resumes a blocked task (Sleep, Signal wake, Resource
-	// grant, machine spawn) — a goroutine handoff for processes, a
-	// direct Machine.Resume call for state machines.
+	// evResume resumes a parked task (Sleep, Signal wake, Resource
+	// grant, machine spawn) with a direct Machine.Resume call.
 	evResume
 	// evHook invokes an EventHook (e.g. netsim message delivery).
 	evHook

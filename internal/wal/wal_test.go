@@ -11,6 +11,59 @@ func newLog(env *sim.Env) *Log {
 	return New(env, sim.NewResource(env, 1), 10*time.Millisecond)
 }
 
+// committer is a test machine: after an optional delay it appends one
+// record, forces the log to it through a ForceOp, and then forces again
+// (a no-op, since the record is already durable), recording when each
+// force completed.
+type committer struct {
+	task     sim.Task
+	l        *Log
+	txn      int64
+	delay    time.Duration
+	force    ForceOp
+	pc       uint8
+	lsn      int64
+	finished time.Duration
+	again    time.Duration
+}
+
+func (c *committer) Resume() {
+	for {
+		switch c.pc {
+		case 0:
+			c.pc = 1
+			if c.delay > 0 {
+				c.task.Sleep(c.delay)
+				return
+			}
+		case 1:
+			c.lsn = c.l.Append(c.txn, 7, c.txn)
+			c.force.Init(c.l, c.txn, c.lsn)
+			c.pc = 2
+		case 2:
+			if !c.force.Step(&c.task) {
+				return
+			}
+			c.finished = c.task.Now()
+			c.force.Init(c.l, c.txn, c.lsn)
+			c.pc = 3
+		default:
+			if !c.force.Step(&c.task) {
+				return
+			}
+			c.again = c.task.Now()
+			c.task.Detach()
+			return
+		}
+	}
+}
+
+func commit(env *sim.Env, l *Log, txn int64, delay time.Duration) *committer {
+	c := &committer{l: l, txn: txn, delay: delay, finished: -1, again: -1}
+	env.Spawn(&c.task, c)
+	return c
+}
+
 func TestAppendAssignsDenseLSNs(t *testing.T) {
 	env := sim.NewEnv()
 	l := newLog(env)
@@ -30,18 +83,10 @@ func TestAppendAssignsDenseLSNs(t *testing.T) {
 func TestForceMakesDurableAndChargesDisk(t *testing.T) {
 	env := sim.NewEnv()
 	l := newLog(env)
-	done := false
-	env.Go("committer", func(p *sim.Proc) {
-		lsn := l.Append(1, 7, 1)
-		l.ForceTo(p, 1, lsn)
-		done = true
-	})
+	c := commit(env, l, 1, 0)
 	env.RunAll()
-	if !done || l.DurableLSN() != 1 {
-		t.Fatalf("durable = %d", l.DurableLSN())
-	}
-	if env.Now() != 10*time.Millisecond {
-		t.Fatalf("force took %v, want 10ms", env.Now())
+	if c.finished != 10*time.Millisecond || l.DurableLSN() != 1 {
+		t.Fatalf("force finished at %v with durable LSN %d, want 10ms and 1", c.finished, l.DurableLSN())
 	}
 	if l.Forces != 1 {
 		t.Fatalf("forces = %d", l.Forces)
@@ -51,33 +96,26 @@ func TestForceMakesDurableAndChargesDisk(t *testing.T) {
 func TestForceAlreadyDurableIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	l := newLog(env)
-	env.Go("c", func(p *sim.Proc) {
-		lsn := l.Append(1, 7, 1)
-		l.ForceTo(p, 1, lsn)
-		before := p.Now()
-		l.ForceTo(p, 1, lsn) // no-op
-		if p.Now() != before {
-			t.Error("redundant force took time")
-		}
-	})
+	c := commit(env, l, 1, 0)
 	env.RunAll()
+	if c.again != c.finished {
+		t.Errorf("redundant force took %v", c.again-c.finished)
+	}
+	if l.Forces != 1 {
+		t.Fatalf("forces = %d, want 1", l.Forces)
+	}
 }
 
 func TestGroupCommit(t *testing.T) {
 	env := sim.NewEnv()
 	l := newLog(env)
-	finished := make([]time.Duration, 3)
+	var cs []*committer
 	for i := 0; i < 3; i++ {
-		i := i
-		env.Go("c", func(p *sim.Proc) {
-			p.Sleep(time.Duration(i) * time.Millisecond) // stagger within one force
-			lsn := l.Append(int64(i+1), 7, int64(i+1))
-			l.ForceTo(p, int64(i+1), lsn)
-			finished[i] = p.Now()
-		})
+		// Stagger the commits within one force.
+		cs = append(cs, commit(env, l, int64(i+1), time.Duration(i)*time.Millisecond))
 	}
 	env.RunAll()
-	// Committer 0 forces alone (covering only itself at t=0); 1 and 2
+	// Committer 1 forces alone (covering only itself at t=0); 2 and 3
 	// appended during that force and share the second one.
 	if l.Forces > 2 {
 		t.Fatalf("forces = %d, want group commit to batch (<=2)", l.Forces)
@@ -88,8 +126,35 @@ func TestGroupCommit(t *testing.T) {
 	if l.DurableLSN() != 3 {
 		t.Fatalf("durable = %d", l.DurableLSN())
 	}
-	if finished[1] != finished[2] {
-		t.Fatalf("grouped committers finished apart: %v vs %v", finished[1], finished[2])
+	if cs[1].finished != cs[2].finished {
+		t.Fatalf("grouped committers finished apart: %v vs %v", cs[1].finished, cs[2].finished)
+	}
+}
+
+// holdDisk occupies the device for d when first resumed.
+type holdDisk struct {
+	task sim.Task
+	disk *sim.Resource
+	d    time.Duration
+	pc   uint8
+	done bool
+}
+
+func (h *holdDisk) Resume() {
+	switch h.pc {
+	case 0:
+		h.pc = 1
+		if !h.task.Acquire(h.disk, 0) {
+			return
+		}
+		fallthrough
+	case 1:
+		h.pc = 2
+		h.task.Sleep(h.d)
+	default:
+		h.disk.Release()
+		h.done = true
+		h.task.Detach()
 	}
 }
 
@@ -97,25 +162,14 @@ func TestForcesSerializeOnDisk(t *testing.T) {
 	env := sim.NewEnv()
 	disk := sim.NewResource(env, 1)
 	l := New(env, disk, 10*time.Millisecond)
-	other := false
-	env.Go("io", func(p *sim.Proc) {
-		p.Acquire(disk, 0)
-		p.Sleep(25 * time.Millisecond) // unrelated disk work first
-		disk.Release()
-		other = true
-	})
-	var commitAt time.Duration
-	env.Go("c", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		lsn := l.Append(1, 7, 1)
-		l.ForceTo(p, 1, lsn)
-		commitAt = p.Now()
-	})
+	io := &holdDisk{disk: disk, d: 25 * time.Millisecond} // unrelated disk work first
+	env.Spawn(&io.task, io)
+	c := commit(env, l, 1, time.Millisecond)
 	env.RunAll()
-	if !other {
-		t.Fatal("io proc did not finish")
+	if !io.done {
+		t.Fatal("disk work did not finish")
 	}
-	if commitAt != 35*time.Millisecond {
-		t.Fatalf("force finished at %v, want 35ms (behind the other I/O)", commitAt)
+	if c.finished != 35*time.Millisecond {
+		t.Fatalf("force finished at %v, want 35ms (behind the other I/O)", c.finished)
 	}
 }
