@@ -41,13 +41,14 @@ func NewValidator(dbSize int) *Validator {
 // Version returns the committed version of obj.
 func (v *Validator) Version(obj lockmgr.ObjectID) int64 { return v.versions[obj] }
 
-// ReadSet snapshots the versions of objs for a starting transaction.
-func (v *Validator) ReadSet(objs []lockmgr.ObjectID) []int64 {
-	out := make([]int64, len(objs))
-	for i, obj := range objs {
-		out[i] = v.versions[obj]
+// ReadSet snapshots the versions of objs for a starting transaction,
+// reusing dst's storage.
+func (v *Validator) ReadSet(dst []int64, objs []lockmgr.ObjectID) []int64 {
+	dst = dst[:0]
+	for _, obj := range objs {
+		dst = append(dst, v.versions[obj])
 	}
-	return out
+	return dst
 }
 
 // Validate checks a transaction's read snapshot against the current

@@ -10,7 +10,7 @@ import (
 func TestValidateCleanCommit(t *testing.T) {
 	v := NewValidator(10)
 	objs := []lockmgr.ObjectID{1, 2, 3}
-	snap := v.ReadSet(objs)
+	snap := v.ReadSet(nil, objs)
 	if !v.Validate(objs, snap, []bool{false, true, false}) {
 		t.Fatal("unconflicted transaction failed validation")
 	}
@@ -20,13 +20,18 @@ func TestValidateCleanCommit(t *testing.T) {
 	if v.Validations != 1 || v.Conflicts != 0 {
 		t.Fatalf("counters = %d/%d", v.Validations, v.Conflicts)
 	}
+	// A restart re-snapshots into the same storage.
+	again := v.ReadSet(snap, objs)
+	if &again[0] != &snap[0] || again[0] != 0 || again[1] != 1 || again[2] != 0 {
+		t.Fatalf("re-snapshot = %v, want [0 1 0] in the old storage", again)
+	}
 }
 
 func TestValidateDetectsConflict(t *testing.T) {
 	v := NewValidator(10)
 	objs := []lockmgr.ObjectID{5}
-	snapA := v.ReadSet(objs)
-	snapB := v.ReadSet(objs)
+	snapA := v.ReadSet(nil, objs)
+	snapB := v.ReadSet(nil, objs)
 	if !v.Validate(objs, snapA, []bool{true}) {
 		t.Fatal("first writer should commit")
 	}
@@ -37,7 +42,7 @@ func TestValidateDetectsConflict(t *testing.T) {
 		t.Fatalf("conflicts = %d", v.Conflicts)
 	}
 	// After re-reading, the restarted transaction commits.
-	snapB2 := v.ReadSet(objs)
+	snapB2 := v.ReadSet(nil, objs)
 	if !v.Validate(objs, snapB2, []bool{true}) {
 		t.Fatal("restarted transaction should commit")
 	}
@@ -50,8 +55,8 @@ func TestReadOnlyTransactionsNeverConflictWithEachOther(t *testing.T) {
 	v := NewValidator(4)
 	objs := []lockmgr.ObjectID{0, 1, 2, 3}
 	reads := []bool{false, false, false, false}
-	s1 := v.ReadSet(objs)
-	s2 := v.ReadSet(objs)
+	s1 := v.ReadSet(nil, objs)
+	s2 := v.ReadSet(nil, objs)
 	if !v.Validate(objs, s1, reads) || !v.Validate(objs, s2, reads) {
 		t.Fatal("read-only transactions conflicted")
 	}
@@ -68,7 +73,7 @@ func TestSerialValidationProperty(t *testing.T) {
 	}
 	f := func(steps []step) bool {
 		v := NewValidator(8)
-		old := v.ReadSet([]lockmgr.ObjectID{0, 1, 2, 3, 4, 5, 6, 7})
+		old := v.ReadSet(nil, []lockmgr.ObjectID{0, 1, 2, 3, 4, 5, 6, 7})
 		for _, st := range steps {
 			obj := lockmgr.ObjectID(st.Obj % 8)
 			objs := []lockmgr.ObjectID{obj}
@@ -76,7 +81,7 @@ func TestSerialValidationProperty(t *testing.T) {
 			if st.Stale {
 				snap = []int64{old[obj]}
 			} else {
-				snap = v.ReadSet(objs)
+				snap = v.ReadSet(nil, objs)
 			}
 			committed := v.Validate(objs, snap, []bool{st.Write})
 			current := v.Version(obj)
